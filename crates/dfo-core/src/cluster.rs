@@ -3,7 +3,7 @@
 
 use crate::node::NodeCtx;
 use dfo_graph::edge::EdgeList;
-use dfo_net::{NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
+use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
 use dfo_obs::{FlightRecorder, Registry, SpanRecord, Telemetry};
 use dfo_part::plan::Plan;
 use dfo_part::preprocess::preprocess;
@@ -284,11 +284,6 @@ impl Cluster {
         self.chunk_caches.get(rank).cloned()
     }
 
-    /// The shared rollback counter contexts report into.
-    pub(crate) fn rollbacks_handle(&self) -> Arc<AtomicU64> {
-        self.rollbacks.clone()
-    }
-
     pub fn disks(&self) -> &[NodeDisk] {
         &self.disks
     }
@@ -355,34 +350,15 @@ impl Cluster {
                 .into_iter()
                 .enumerate()
                 .map(|(rank, ep)| {
-                    let disk = self.disks[rank].clone();
-                    let cfg = self.cfg.clone();
-                    let cache = self.chunk_caches.get(rank).cloned();
-                    let tele = self.rank_telemetry(rank, recorders.as_ref().map(|r| &r[rank]));
+                    let recorder = recorders.as_ref().map(|r| &r[rank]);
                     let f = &f;
                     s.spawn(move || -> Result<T> {
+                        let disk = &self.disks[rank];
                         let scratch = match scratch_sub {
                             Some(sub) => disk.scoped(sub)?,
                             None => disk.clone(),
                         };
-                        let mut ctx = NodeCtx::with_disks(rank, cfg, disk, scratch, ep, cache)?;
-                        ctx.rollbacks = self.rollbacks.clone();
-                        ctx.set_telemetry(tele);
-                        let res =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-                        match res {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => {
-                                // a failed node can't serve its peers: abort
-                                // the collectives so they error out too
-                                ctx.net().poison_collective();
-                                Err(e)
-                            }
-                            Err(panic) => {
-                                ctx.net().poison_collective();
-                                Err(panic_to_error(panic, rank))
-                            }
-                        }
+                        self.run_rank(rank, self.cfg.clone(), scratch, ep, recorder, false, f)
                     })
                 })
                 .collect();
@@ -568,40 +544,67 @@ impl Cluster {
         // diagnostics refer to the attempt actually running
         let mut attempt_cfg = self.cfg.clone();
         attempt_cfg.epoch = epoch;
-        let mut ctx = NodeCtx::with_chunk_cache(
-            rank,
-            attempt_cfg,
-            self.disks[rank].clone(),
-            ep,
-            self.chunk_caches.get(rank).cloned(),
-        )?;
-        ctx.rollbacks = self.rollbacks.clone();
-        ctx.set_telemetry(self.rank_telemetry(rank, recorder.as_ref()));
-        if let Some(t0) = recovered_from {
-            // mesh is up again: failure detection -> rebuilt mesh
-            ctx.telemetry()
-                .duration_histogram(
-                    "dfo_recovery_seconds",
-                    "Time from failure detection to a rebuilt mesh (one supervised recovery)",
-                    &[],
-                )
-                .observe_duration(t0.elapsed());
-        }
+        let scratch = self.disks[rank].clone();
         // multi-process deployment: an injected crash must kill the whole
         // OS process (like a SIGKILL), not just unwind one thread
-        ctx.crash_abort = true;
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-        let out = match res {
-            Ok(Ok(v)) => {
-                // collective: every rank ships its spans to rank 0, which
-                // writes the merged timeline. cfg.trace_path is part of the
-                // replicated config, so either all ranks enter or none do.
-                if let Some(rec) = &recorder {
-                    self.flush_distributed_trace(&mut ctx, rec);
-                }
-                Ok(v)
+        let out = self.run_rank(rank, attempt_cfg, scratch, ep, recorder.as_ref(), true, |ctx| {
+            if let Some(t0) = recovered_from {
+                // mesh is up again: failure detection -> rebuilt mesh
+                ctx.telemetry()
+                    .duration_histogram(
+                        "dfo_recovery_seconds",
+                        "Time from failure detection to a rebuilt mesh (one supervised recovery)",
+                        &[],
+                    )
+                    .observe_duration(t0.elapsed());
             }
+            let v = f(ctx)?;
+            // collective: every rank ships its spans to rank 0, which
+            // writes the merged timeline. cfg.trace_path is part of the
+            // replicated config, so either all ranks enter or none do.
+            if let Some(rec) = &recorder {
+                self.flush_distributed_trace(ctx, rec);
+            }
+            Ok(v)
+        });
+        // fold after the trace gather so its frames are counted too
+        self.net_accum.lock()[rank].add_stats(&stats);
+        out
+    }
+
+    /// Runs one rank's node program — the one place that turns an endpoint
+    /// into a [`NodeCtx`] and a program outcome into a result, for the
+    /// in-process threads, a distributed attempt and a resident-mesh job
+    /// alike. The context reads graph data from the rank's node disk and
+    /// writes mutable state to `scratch`; `crash_abort` is set when the
+    /// rank is its own OS process, so an injected crash kills the process.
+    ///
+    /// An error or panic poisons the collective so peers fail instead of
+    /// hanging — except [`DfoError::Cancelled`]: a cooperative cancel is
+    /// agreed collectively at a `Process`-call boundary, every rank unwinds
+    /// together, and the substrate stays healthy.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_rank<T>(
+        &self,
+        rank: Rank,
+        cfg: EngineConfig,
+        scratch: NodeDisk,
+        net: Endpoint,
+        recorder: Option<&Arc<FlightRecorder>>,
+        crash_abort: bool,
+        f: impl FnOnce(&mut NodeCtx) -> Result<T>,
+    ) -> Result<T> {
+        let disk = self.disks[rank].clone();
+        let mut ctx = NodeCtx::with_disks(rank, cfg, disk, scratch, net, self.chunk_cache(rank))?;
+        ctx.rollbacks = self.rollbacks.clone();
+        ctx.set_telemetry(self.rank_telemetry(rank, recorder));
+        ctx.crash_abort = crash_abort;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx))) {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(e @ DfoError::Cancelled(_))) => Err(e),
             Ok(Err(e)) => {
+                // a failed node can't serve its peers: abort the
+                // collectives so they error out too
                 ctx.net().poison_collective();
                 Err(e)
             }
@@ -609,10 +612,7 @@ impl Cluster {
                 ctx.net().poison_collective();
                 Err(panic_to_error(panic, rank))
             }
-        };
-        // fold after the trace gather so its frames are counted too
-        self.net_accum.lock()[rank].add_stats(&stats);
-        out
+        }
     }
 
     /// Gathers every rank's trace spans to rank 0 over the mesh and writes

@@ -214,42 +214,17 @@ impl ResidentMesh {
                 cfg.nodes, self.nodes
             )));
         }
-        let disk = cluster.disks()[self.rank].clone();
+        let disk = &cluster.disks()[self.rank];
         // validate everything that can fail *before* building the job
         // view, so a bad graph directory is a per-job error rather than
         // the end of the mesh
-        Plan::load(&disk)?;
+        Plan::load(disk)?;
         let scratch = disk.scoped(scope)?;
         let view = self.ep.job_view(job_id, self.coll_counter(job_id));
         // a failed context build drops only the view; the master endpoint
-        // (and with it the mesh) survives
-        let mut ctx = NodeCtx::with_disks(
-            self.rank,
-            cfg,
-            disk,
-            scratch,
-            view,
-            cluster.chunk_cache(self.rank),
-        )?;
-        ctx.rollbacks = cluster.rollbacks_handle();
-        ctx.set_telemetry(cluster.rank_telemetry(self.rank, None));
-        // one-rank-per-process deployment: injected crashes kill the process
-        ctx.crash_abort = true;
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-        match res {
-            Ok(Ok(v)) => Ok(v),
-            // a cooperative cancellation unwound every rank together at the
-            // same call boundary — the mesh is still consistent, keep it
-            Ok(Err(e @ DfoError::Cancelled(_))) => Err(e),
-            Ok(Err(e)) => {
-                ctx.net().poison_collective();
-                Err(e)
-            }
-            Err(panic) => {
-                ctx.net().poison_collective();
-                Err(crate::cluster::panic_to_error(panic, self.rank))
-            }
-        }
+        // (and with it the mesh) survives. One-rank-per-process deployment:
+        // injected crashes kill the process
+        cluster.run_rank(self.rank, cfg, scratch, view, None, true, f)
     }
 
     /// Barrier inside job `job_id`'s namespace, continuing the job's

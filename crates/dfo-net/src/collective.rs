@@ -73,10 +73,14 @@ impl Collective {
         while st.generation == gen && !st.poisoned {
             self.cv.wait(&mut st);
         }
-        if st.poisoned {
-            return Err(Self::poisoned_err());
+        // a completed generation wins over a poison that landed while this
+        // waiter was still waking: every rank of that barrier must agree it
+        // passed, or a peer that poisons right after it (e.g. on a
+        // collectively agreed cancel) turns this rank's result into NetClosed
+        if st.generation != gen {
+            return Ok(());
         }
-        Ok(())
+        Err(Self::poisoned_err())
     }
 
     /// Marks the collective dead and wakes all waiters.
@@ -205,5 +209,32 @@ mod tests {
             assert!(matches!(h.join().unwrap(), Err(DfoError::NetClosed(_))));
         });
         assert!(matches!(c.barrier(), Err(DfoError::NetClosed(_))));
+    }
+
+    #[test]
+    fn completed_barrier_survives_a_poison_right_after_it() {
+        // the last arrival completes the generation and poisons at once,
+        // before the earlier waiters have woken: they must still see Ok
+        for _ in 0..200 {
+            let c = Collective::new(3);
+            let results: Vec<Result<()>> = std::thread::scope(|s| {
+                let waiters: Vec<_> = (0..2)
+                    .map(|_| {
+                        let c = c.clone();
+                        s.spawn(move || c.barrier())
+                    })
+                    .collect();
+                while c.state.lock().waiting < 2 {
+                    std::thread::yield_now();
+                }
+                let last = c.barrier();
+                c.poison();
+                let mut out: Vec<_> = waiters.into_iter().map(|h| h.join().unwrap()).collect();
+                out.push(last);
+                out
+            });
+            assert!(results.iter().all(|r| r.is_ok()), "a completed barrier reported {results:?}");
+            assert!(matches!(c.barrier(), Err(DfoError::NetClosed(_))));
+        }
     }
 }

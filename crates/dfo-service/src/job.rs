@@ -1,15 +1,18 @@
-//! Job model: handles, lifecycle state, and the finished-job report.
+//! Job model: the job record, event sinks, handles, and the finished-job
+//! report.
 //!
 //! The spec/status vocabulary ([`JobSpec`], [`JobPhase`], [`JobStatus`])
 //! lives in `dfo_types::jobspec` since the remote protocol made it a wire
 //! format; this crate re-exports it, so `dfo_service::JobSpec` keeps
-//! working. What remains here is the process-local side: the shared
-//! [`JobInner`] record and the [`JobHandle`] a submitter holds.
+//! working. What remains here is the process-local side: the [`Job`]
+//! record the executor tracks, the [`JobSink`] its events go to, and the
+//! [`JobHandle`] an in-process submitter holds.
 
-use crate::service::ServiceInner;
-use dfo_algos::AlgoOutput;
+use crate::catalog::CatalogEntry;
+use crate::executor::Executor;
+use dfo_algos::{AlgoOutput, Algorithm};
 use dfo_storage::ChunkCacheStats;
-use dfo_types::{DfoError, JobPhase, JobSpec, JobStatus, PhaseStats, Pod, Result};
+use dfo_types::{JobPhase, JobSpec, JobStatus, PhaseStats, Pod, Result};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
@@ -53,48 +56,43 @@ impl JobReport {
     }
 }
 
-pub(crate) enum State {
-    Queued,
-    Running,
-    // boxed: a JobReport is large next to the unit variants
-    Finished { phase: JobPhase, result: Box<Option<Result<JobReport>>> },
+/// Where a job's events go: a condvar slot for an in-process
+/// [`JobHandle`], a client connection for the daemon.
+pub(crate) trait JobSink: Send + Sync {
+    /// A phase transition of a job that has not finished (queued,
+    /// running, requeued after a retryable failure).
+    fn status(&self, _status: JobStatus) {}
+
+    /// The job's single terminal event.
+    fn finish(&self, job_id: u64, result: Result<JobReport>);
 }
 
-/// Shared core of a job, owned by its [`JobHandle`], the scheduler queue,
-/// and the worker thread running it.
-pub(crate) struct JobInner {
+/// One job as the executor tracks it: the spec with everything resolved at
+/// submit time — the catalog entry `Arc` (pinning the graph for the job's
+/// lifetime) and the registry algorithm — plus its live state.
+pub(crate) struct Job {
     pub(crate) id: u64,
     pub(crate) spec: JobSpec,
+    /// Admission footprint in bytes, charged against `mem_budget` while
+    /// an attempt runs.
     pub(crate) estimate: u64,
-    /// The cooperative token every rank's `NodeCtx` checks at
-    /// `Process`-call boundaries.
+    pub(crate) entry: Arc<CatalogEntry>,
+    pub(crate) algo: &'static dyn Algorithm,
+    /// The cooperative token rank 0's `NodeCtx` checks at `Process`-call
+    /// boundaries; the collective check spreads it to every rank.
     pub(crate) cancel: Arc<AtomicBool>,
-    /// Retryable failures absorbed so far (worker-incremented, live).
+    /// Retryable failures absorbed so far, bounded by
+    /// [`JobSpec::max_retries`].
     pub(crate) retries: AtomicU32,
-    pub(crate) state: Mutex<State>,
-    pub(crate) done: Condvar,
+    pub(crate) phase: Mutex<JobPhase>,
+    pub(crate) sink: Arc<dyn JobSink>,
 }
 
-impl JobInner {
-    pub(crate) fn finish(&self, result: Result<JobReport>) {
-        let phase = match &result {
-            Ok(_) => JobPhase::Done,
-            Err(DfoError::Cancelled(_)) => JobPhase::Cancelled,
-            Err(_) => JobPhase::Failed,
-        };
-        *self.state.lock() = State::Finished { phase, result: Box::new(Some(result)) };
-        self.done.notify_all();
-    }
-
+impl Job {
     pub(crate) fn status(&self) -> JobStatus {
-        let phase = match &*self.state.lock() {
-            State::Queued => JobPhase::Queued,
-            State::Running => JobPhase::Running,
-            State::Finished { phase, .. } => *phase,
-        };
         JobStatus {
             id: self.id,
-            phase,
+            phase: *self.phase.lock(),
             graph: self.spec.graph.clone(),
             algorithm: self.spec.algorithm.clone(),
             mem_estimate: self.estimate,
@@ -105,11 +103,27 @@ impl JobInner {
     }
 }
 
+/// The in-process sink: holds the terminal result until
+/// [`JobHandle::wait`] takes it.
+#[derive(Default)]
+pub(crate) struct Slot {
+    result: Mutex<Option<Result<JobReport>>>,
+    done: Condvar,
+}
+
+impl JobSink for Slot {
+    fn finish(&self, _job_id: u64, result: Result<JobReport>) {
+        *self.result.lock() = Some(result);
+        self.done.notify_all();
+    }
+}
+
 /// Tracks one submitted job. Not cloneable: [`JobHandle::wait`] consumes
 /// the handle and hands over the job's single [`JobReport`].
 pub struct JobHandle {
-    pub(crate) job: Arc<JobInner>,
-    pub(crate) svc: Weak<ServiceInner>,
+    pub(crate) job: Arc<Job>,
+    pub(crate) slot: Arc<Slot>,
+    pub(crate) exec: Weak<Executor>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -130,14 +144,15 @@ impl JobHandle {
     }
 
     /// Blocks until the job finishes and returns its report — or the error
-    /// it failed with ([`DfoError::Cancelled`] if it was cancelled).
+    /// it failed with ([`DfoError::Cancelled`](dfo_types::DfoError) if it
+    /// was cancelled).
     pub fn wait(self) -> Result<JobReport> {
-        let mut st = self.job.state.lock();
+        let mut result = self.slot.result.lock();
         loop {
-            if let State::Finished { result, .. } = &mut *st {
-                return result.take().expect("wait consumes the only handle");
+            if let Some(r) = result.take() {
+                return r;
             }
-            self.job.done.wait(&mut st);
+            self.slot.done.wait(&mut result);
         }
     }
 
@@ -150,17 +165,17 @@ impl JobHandle {
     ) -> std::result::Result<Result<JobReport>, JobHandle> {
         let deadline = Instant::now() + timeout;
         {
-            let mut st = self.job.state.lock();
+            let mut result = self.slot.result.lock();
             loop {
-                if let State::Finished { result, .. } = &mut *st {
-                    return Ok(result.take().expect("wait consumes the only handle"));
+                if let Some(r) = result.take() {
+                    return Ok(r);
                 }
                 let Some(left) =
                     deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
                 else {
                     break;
                 };
-                self.job.done.wait_for(&mut st, left);
+                self.slot.done.wait_for(&mut result, left);
             }
         }
         Err(self)
@@ -170,13 +185,12 @@ impl JobHandle {
     /// running; a running job's ranks observe the token at their next
     /// `Process`-call boundary, agree collectively, and unwind together —
     /// freeing the job's admission budget. [`JobHandle::wait`] then returns
-    /// [`DfoError::Cancelled`]. Idempotent; a job that already finished is
-    /// unaffected.
+    /// [`DfoError::Cancelled`](dfo_types::DfoError). Idempotent; a job that
+    /// already finished is unaffected.
     pub fn cancel(&self) {
-        self.job.cancel.store(true, Ordering::Relaxed);
-        // reap a queued job right away rather than when it reaches the front
-        if let Some(svc) = self.svc.upgrade() {
-            ServiceInner::pump(&svc);
+        // the executor outlives every job it has not finished
+        if let Some(exec) = self.exec.upgrade() {
+            exec.cancel(self.job.id);
         }
     }
 

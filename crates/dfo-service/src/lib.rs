@@ -20,7 +20,9 @@
 //!   completed job's measured peak scratch usage feeds an EWMA per
 //!   `(algorithm, graph)` that replaces the static per-vertex hint on the
 //!   next submission;
-//! * concurrent jobs over one graph are isolated by per-job scratch
+//! * a **retryable** failure requeues the job (up to
+//!   [`JobSpec::max_retries`]) under a fresh per-attempt scratch scope;
+//! * concurrent jobs over one graph are isolated by per-attempt scratch
 //!   directories ([`dfo_core::Cluster::run_scoped`]) while sharing the
 //!   graph's chunk caches and disk/network throttles, and a cooperative
 //!   cancellation token is checked collectively at every `Process`-call
@@ -32,20 +34,24 @@
 //!   wall-clock window.
 //!
 //! * observability: every graph's cluster feeds one shared
-//!   [`dfo_obs::Registry`] (series labeled `graph`/`rank`), jobs add
-//!   per-job cache counters, and `cfg.metrics_addr` (or
-//!   `DFO_METRICS_ADDR`) exposes it all through a [`MetricsServer`] scrape
-//!   endpoint — `GET /metrics` for Prometheus text, `GET /metrics.json`
-//!   for a JSON snapshot.
+//!   [`dfo_obs::Registry`] (series labeled `graph`/`rank`), finished jobs
+//!   add cache and outcome counters per `(graph, algorithm)`, and
+//!   `cfg.metrics_addr` (or `DFO_METRICS_ADDR`) exposes it all through a
+//!   [`MetricsServer`] scrape endpoint — `GET /metrics` for Prometheus
+//!   text, `GET /metrics.json` for a JSON snapshot.
 //!
-//! Single-node multi-job first: jobs run over the in-process mesh. The
-//! [`JobSpec`] carries no process-local state, so a transport layer can be
-//! put in front of [`Service::submit`] without touching the job model.
+//! The in-process [`Service`] and rank 0 of the remote [`Daemon`] are two
+//! front ends to one job executor (submit-time validation, admission,
+//! cancellation, the retry rule, reports and metrics). They differ only in
+//! how an admitted attempt runs — threads in this process, or a fan-out
+//! over the resident TCP mesh — and in how job events reach the submitter:
+//! a [`JobHandle`], or a [`DfoClient`] connection.
 
 mod catalog;
 mod client;
 mod daemon;
 mod estimator;
+mod executor;
 mod job;
 mod metrics;
 mod sched;

@@ -66,9 +66,16 @@ pub fn write_bytes<W: Write>(w: &mut W, b: &[u8]) -> io::Result<()> {
 
 /// Reads a length-prefixed byte string written by [`write_bytes`].
 pub fn read_bytes<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let len = read_u64(r)? as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // allocate as the bytes arrive, not up front from an untrusted prefix
+    let len = read_u64(r)?;
+    let mut buf = Vec::new();
+    r.take(len).read_to_end(&mut buf)?;
+    if (buf.len() as u64) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("length prefix {len} but only {} bytes follow", buf.len()),
+        ));
+    }
     Ok(buf)
 }
 
@@ -116,6 +123,15 @@ mod tests {
         assert!(read_exact_or_eof(&mut c, &mut buf).unwrap());
         assert_eq!(buf, [1, 2, 3, 4]);
         assert!(!read_exact_or_eof(&mut c, &mut buf).unwrap());
+    }
+
+    #[test]
+    fn huge_length_prefix_is_an_error_not_an_allocation() {
+        let mut data = u64::MAX.to_le_bytes().to_vec();
+        data.extend_from_slice(&[1, 2, 3]);
+        let err = read_bytes(&mut Cursor::new(&data)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(read_str(&mut Cursor::new(&data)).is_err());
     }
 
     #[test]

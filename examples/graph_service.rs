@@ -86,7 +86,7 @@ fn main() -> dfograph::types::Result<()> {
 
     // 5. scrape our own metrics endpoint — plain TCP, no HTTP client
     //    needed. The body is Prometheus text exposition: phase-time
-    //    histograms per rank, per-job cache counters, disk/net byte totals.
+    //    histograms per rank, job cache counters, disk/net byte totals.
     let addr = svc.metrics_addr().expect("metrics endpoint configured above");
     let body = scrape(addr)?;
     for family in [
