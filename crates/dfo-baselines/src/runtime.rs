@@ -25,46 +25,10 @@ impl BaselineNode {
         self.tag.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// All-to-all byte exchange with the deadlock-free round-robin pairing
-    /// (sender on its own thread); `result[rank] == outgoing[rank]`.
+    /// All-to-all byte exchange ([`Endpoint::exchange`]) on the next tag;
+    /// `result[rank] == outgoing[rank]`.
     pub fn exchange(&self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        let p = self.nodes();
-        assert_eq!(outgoing.len(), p);
-        let rank = self.rank;
-        let seq = self.next_tag();
-        // freeze once, send zero-copy slices (mirrors NodeCtx::exchange_bytes)
-        let mut outgoing = outgoing;
-        let own = std::mem::take(&mut outgoing[rank]);
-        let outgoing: Vec<bytes::Bytes> = outgoing.into_iter().map(bytes::Bytes::from).collect();
-        let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); p];
-        let err: Mutex<Option<DfoError>> = Mutex::new(None);
-        let send_order: Vec<usize> = (1..p).map(|d| (rank + d) % p).collect();
-        let recv_order: Vec<usize> = (1..p).map(|d| (rank + p - d) % p).collect();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for &j in &send_order {
-                    if let Err(e) = self.net.send_stream(j, seq, outgoing[j].clone()) {
-                        *err.lock() = Some(e);
-                        return;
-                    }
-                }
-            });
-            for &q in &recv_order {
-                match self.net.recv_all(q, seq) {
-                    Ok(b) => incoming[q] = b,
-                    Err(e) => {
-                        *err.lock() = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        let pending = err.lock().take();
-        if let Some(e) = pending {
-            return Err(e);
-        }
-        incoming[rank] = own;
-        Ok(incoming)
+        self.net.exchange(self.next_tag(), outgoing)
     }
 }
 

@@ -2,8 +2,9 @@
 //! graphs, and runs SPMD node programs.
 
 use crate::node::NodeCtx;
+use crate::resident::ResidentMesh;
 use dfo_graph::edge::EdgeList;
-use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster, TcpCluster, TcpOpts};
+use dfo_net::{Endpoint, NetStats, NetTotals, SimCluster};
 use dfo_obs::{FlightRecorder, Registry, SpanRecord, Telemetry};
 use dfo_part::plan::Plan;
 use dfo_part::preprocess::preprocess;
@@ -13,7 +14,6 @@ use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     panic
@@ -36,13 +36,6 @@ pub(crate) fn panic_to_error(panic: Box<dyn std::any::Any + Send>, rank: Rank) -
     }
 }
 
-/// Reads a supervisor-published epoch file: trimmed decimal text, written
-/// atomically (temp + rename) by [`crate::Supervisor`]. Absent, unreadable,
-/// or unparsable files all read as "nothing published yet".
-fn read_epoch_file(path: &str) -> Option<u64> {
-    std::fs::read_to_string(path).ok()?.trim().parse().ok()
-}
-
 /// A simulated DFOGraph cluster rooted at a base directory; node `i`'s disk
 /// lives under `<base>/n<i>/`.
 pub struct Cluster {
@@ -54,9 +47,8 @@ pub struct Cluster {
     /// `chunk_cache_bytes == 0` (nothing is allocated).
     chunk_caches: Vec<Arc<ChunkCache>>,
     last_net: Mutex<Vec<Arc<NetStats>>>,
-    /// Checkpoint-restart counters of the most recent supervised run
-    /// (`Arc` so the metrics pull source can sample them at scrape time).
-    recovery: Arc<Mutex<RecoveryStats>>,
+    /// Checkpoint-restart counters of the most recent supervised run.
+    recovery: Mutex<RecoveryStats>,
     /// Ahead-rank rollbacks across every run on this cluster, shared into
     /// each [`NodeCtx`] so the count survives per-attempt context rebuilds.
     rollbacks: Arc<AtomicU64>,
@@ -66,7 +58,7 @@ pub struct Cluster {
     /// Extra base labels (e.g. `graph`) on every series this cluster emits.
     labels: Vec<(String, String)>,
     /// Per-rank network totals, folded in at the end of **every** run and
-    /// distributed attempt. Endpoints live one run (a supervised restart
+    /// batch mesh job. Endpoints live one run (a supervised restart
     /// builds a fresh one), so these accumulators — not
     /// [`Cluster::net_stats`] — are what survives endpoint churn.
     net_accum: Arc<Mutex<Vec<NetTotals>>>,
@@ -109,7 +101,7 @@ impl Cluster {
             disks,
             chunk_caches,
             last_net: Mutex::new(Vec::new()),
-            recovery: Arc::new(Mutex::new(RecoveryStats::default())),
+            recovery: Mutex::new(RecoveryStats::default()),
             rollbacks: Arc::new(AtomicU64::new(0)),
             registry,
             labels: labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
@@ -126,7 +118,6 @@ impl Cluster {
         let disks = self.disks.clone();
         let caches = self.chunk_caches.clone();
         let accum = self.net_accum.clone();
-        let recovery = self.recovery.clone();
         let rollbacks = self.rollbacks.clone();
         let base = self.labels.clone();
         self.registry.register_source(Box::new(move |buf| {
@@ -207,24 +198,11 @@ impl Cluster {
             {
                 let l: Vec<(&str, &str)> =
                     base.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                let r = *recovery.lock();
-                buf.counter(
-                    "dfo_restarts_total",
-                    "Mesh re-bootstraps of the most recent supervised run",
-                    &l,
-                    r.restarts,
-                );
                 buf.counter(
                     "dfo_rollbacks_total",
                     "Ahead-rank one-checkpoint rollbacks across this cluster's runs",
                     &l,
                     rollbacks.load(Ordering::Relaxed),
-                );
-                buf.gauge(
-                    "dfo_mesh_epoch",
-                    "Epoch of the most recent successful mesh bootstrap",
-                    &l,
-                    r.mesh_epoch as f64,
                 );
             }
             for (rank, t) in accum.lock().iter().enumerate() {
@@ -389,8 +367,8 @@ impl Cluster {
 
     /// Runs `f` as **one rank of a multi-process cluster**: joins the TCP
     /// mesh described by `cfg.peers` (every rank must run this with the
-    /// same config and a disk holding the same preprocessed plan), builds
-    /// the rank's [`NodeCtx`] once the full mesh is up, and executes `f`.
+    /// same config and a disk holding the same preprocessed plan) and runs
+    /// `f` as the mesh's one job, scratch in the node root.
     ///
     /// This is the single-rank sibling of [`Cluster::run`]: the same engine
     /// code runs unchanged, only the transport differs. A rank that fails
@@ -402,20 +380,17 @@ impl Cluster {
         rank: Rank,
         f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let mut f = Some(f);
-        self.attempt_distributed(rank, self.cfg.epoch, None, &mut |ctx| {
-            (f.take().expect("run_distributed attempts exactly once"))(ctx)
-        })
+        self.batch_job(&ResidentMesh::connect(&self.cfg, rank)?, f)
     }
 
     /// Runs `f` as one rank of a multi-process cluster **with
-    /// checkpoint-restart**: like [`Cluster::run_distributed`], but a mesh
-    /// failure (a peer process died, or the bootstrap handshake failed)
-    /// does not abort the job. Instead the rank quiesces its transport
-    /// (poisons the mesh so nothing blocks, joins the codec threads, drops
-    /// the sockets), bumps the mesh *epoch*, re-bootstraps the TCP mesh —
-    /// stale-epoch connections are rejected in the handshake — and
-    /// re-executes `f` from scratch, up to `cfg.max_restarts` times.
+    /// checkpoint-restart**: like [`Cluster::run_distributed`], but inside
+    /// [`ResidentMesh::relaunching`], so a mesh failure (a peer process
+    /// died, or the bootstrap handshake failed) does not abort the job.
+    /// Instead the rank quiesces its transport, moves to the next mesh
+    /// *epoch*, re-bootstraps the TCP mesh — stale-epoch connections are
+    /// rejected in the handshake — and re-executes `f` from scratch, up to
+    /// `cfg.max_restarts` times.
     ///
     /// Pair it with a [`crate::Supervisor`] in the parent process: the
     /// supervisor relaunches the dead rank under the incremented epoch
@@ -427,155 +402,62 @@ impl Cluster {
     /// from there, so the {crash, no-crash} results stay bit-identical and
     /// at most one `Process` call is lost.
     ///
-    /// Non-mesh errors stay fatal: I/O, corruption, configuration — and
-    /// panics in `f` itself, which come back as the non-retryable
-    /// [`DfoError::Panic`] (the endpoint panics *collective* failures with
-    /// the typed `NetClosed` payload, so only genuine mesh failures are
-    /// retried). An exhausted restart budget surfaces as
-    /// [`DfoError::RestartsExhausted`].
+    /// Only `NetClosed` and `Handshake` count as a mesh death. Other errors
+    /// stay fatal: I/O, corruption, configuration — and panics in `f`
+    /// itself, which come back as the non-retryable [`DfoError::Panic`]
+    /// (the endpoint panics *collective* failures with the typed
+    /// `NetClosed` payload, so only genuine mesh failures are retried). An
+    /// exhausted restart budget surfaces as [`DfoError::RestartsExhausted`].
     pub fn run_supervised<T>(
         &self,
         rank: Rank,
         mut f: impl FnMut(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        // the supervisor-published epoch file, when present, is the single
-        // authority: a rank relaunched with a stale DFO_EPOCH (its death
-        // overlapped another failure) starts straight at the published one
-        let mut epoch = self.cfg.epoch.max(self.published_epoch().unwrap_or(0));
-        let mut restarts: u32 = 0;
         let rollback_base = self.rollbacks.load(Ordering::Relaxed);
-        let mut recovered_from: Option<Instant> = None;
-        loop {
-            let res = self.attempt_distributed(rank, epoch, recovered_from.take(), &mut f);
-            *self.recovery.lock() = RecoveryStats {
-                restarts: restarts as u64,
-                mesh_epoch: epoch,
-                rollbacks: self.rollbacks.load(Ordering::Relaxed) - rollback_base,
-            };
-            match res {
-                Ok(v) => return Ok(v),
-                Err(e @ (DfoError::NetClosed(_) | DfoError::Handshake(_))) => {
-                    if restarts >= self.cfg.max_restarts {
-                        return Err(DfoError::RestartsExhausted {
-                            attempts: restarts,
-                            last: Box::new(e),
-                        });
-                    }
-                    restarts += 1;
-                    recovered_from = Some(Instant::now());
-                    epoch = self.next_epoch(epoch);
-                    eprintln!(
-                        "[dfo] rank {rank}: mesh failure ({e}); re-bootstrapping at epoch \
-                         {epoch} (recovery {restarts}/{})",
-                        self.cfg.max_restarts
-                    );
+        let mut recovery = RecoveryStats::default();
+        let tele = self.rank_telemetry(rank, None);
+        let out =
+            ResidentMesh::relaunching(&self.cfg, rank, &tele, &mut recovery, |mesh| {
+                match self.batch_job(mesh, &mut f) {
+                    Err(e @ (DfoError::NetClosed(_) | DfoError::Handshake(_))) => Err(e),
+                    out => Ok(out),
                 }
-                Err(e) => return Err(e),
-            }
-        }
+            });
+        recovery.rollbacks = self.rollbacks.load(Ordering::Relaxed) - rollback_base;
+        *self.recovery.lock() = recovery;
+        out
     }
 
-    /// The epoch currently published in `cfg.epoch_file`, if any.
-    fn published_epoch(&self) -> Option<u64> {
-        read_epoch_file(self.cfg.epoch_file.as_deref()?)
-    }
-
-    /// The epoch for the next recovery attempt. Without an epoch file each
-    /// rank bumps locally (the historical scheme, correct only when
-    /// failures never overlap a recovery window). With one, the rank waits
-    /// — bounded — for the supervisor to publish an epoch above the failed
-    /// attempt's, so every survivor and relaunch converges on the same
-    /// number no matter how many ranks died; on timeout it falls back to
-    /// the local bump rather than hanging (a failed handshake just costs
-    /// another recovery attempt).
-    fn next_epoch(&self, current: u64) -> u64 {
-        let Some(path) = self.cfg.epoch_file.as_deref() else { return current + 1 };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Some(e) = read_epoch_file(path) {
-                if e > current {
-                    return e;
-                }
-            }
-            if Instant::now() >= deadline {
-                eprintln!(
-                    "[dfo] warning: epoch file {path} did not advance past {current} within \
-                     10s; bumping locally to {}",
-                    current + 1
-                );
-                return current + 1;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// One mesh bootstrap + execution attempt at a given epoch. On exit the
-    /// transport is fully quiesced (writer threads joined, sockets closed)
-    /// whatever happened, so the caller may immediately re-bootstrap.
-    fn attempt_distributed<T>(
+    /// Runs `f` as the one job of a batch mesh, scratch in the node root.
+    /// When tracing, every rank then ships its spans to rank 0, which
+    /// writes the merged timeline; the mesh's traffic is folded into the
+    /// per-rank totals afterwards, so the gather's frames count too.
+    fn batch_job<T>(
         &self,
-        rank: Rank,
-        epoch: u64,
-        recovered_from: Option<Instant>,
-        f: &mut dyn FnMut(&mut NodeCtx) -> Result<T>,
+        mesh: &ResidentMesh,
+        f: impl FnOnce(&mut NodeCtx) -> Result<T>,
     ) -> Result<T> {
-        let peers = self.cfg.peers.clone().ok_or_else(|| {
-            DfoError::Config("run_distributed needs cfg.peers (the rank address list)".into())
-        })?;
-        if rank >= self.cfg.nodes {
-            return Err(DfoError::Config(format!(
-                "rank {rank} outside cluster of {} nodes",
-                self.cfg.nodes
-            )));
-        }
-        let ep = TcpCluster::connect(
-            rank,
-            &peers,
-            self.cfg.net_bw,
-            self.cfg.record_traffic,
-            TcpOpts { connect_timeout: Duration::from_secs(self.cfg.connect_timeout_secs), epoch },
-        )?;
-        let stats = ep.stats_arc();
+        let stats = mesh.net_stats();
         *self.last_net.lock() = vec![stats.clone()];
         let recorder =
             self.cfg.trace_path.as_ref().map(|_| FlightRecorder::new(self.cfg.trace_capacity));
-        // the ctx sees the *current* mesh epoch (it may have advanced past
-        // cfg.epoch across recoveries) so `@epoch` crash qualifiers and
-        // diagnostics refer to the attempt actually running
-        let mut attempt_cfg = self.cfg.clone();
-        attempt_cfg.epoch = epoch;
-        let scratch = self.disks[rank].clone();
-        // multi-process deployment: an injected crash must kill the whole
-        // OS process (like a SIGKILL), not just unwind one thread
-        let out = self.run_rank(rank, attempt_cfg, scratch, ep, recorder.as_ref(), true, |ctx| {
-            if let Some(t0) = recovered_from {
-                // mesh is up again: failure detection -> rebuilt mesh
-                ctx.telemetry()
-                    .duration_histogram(
-                        "dfo_recovery_seconds",
-                        "Time from failure detection to a rebuilt mesh (one supervised recovery)",
-                        &[],
-                    )
-                    .observe_duration(t0.elapsed());
-            }
+        let out = mesh.run_job_with(0, self, None, recorder.as_ref(), |ctx| {
             let v = f(ctx)?;
-            // collective: every rank ships its spans to rank 0, which
-            // writes the merged timeline. cfg.trace_path is part of the
-            // replicated config, so either all ranks enter or none do.
+            // collective: cfg.trace_path is part of the replicated config,
+            // so either all ranks enter or none do
             if let Some(rec) = &recorder {
                 self.flush_distributed_trace(ctx, rec);
             }
             Ok(v)
         });
-        // fold after the trace gather so its frames are counted too
-        self.net_accum.lock()[rank].add_stats(&stats);
+        self.net_accum.lock()[mesh.rank()].add_stats(&stats);
         out
     }
 
     /// Runs one rank's node program — the one place that turns an endpoint
     /// into a [`NodeCtx`] and a program outcome into a result, for the
-    /// in-process threads, a distributed attempt and a resident-mesh job
-    /// alike. The context reads graph data from the rank's node disk and
+    /// in-process threads and every TCP mesh job (batch or daemon) alike.
+    /// The context reads graph data from the rank's node disk and
     /// writes mutable state to `scratch`; `crash_abort` is set when the
     /// rank is its own OS process, so an injected crash kills the process.
     ///
@@ -672,8 +554,8 @@ impl Cluster {
         self.last_net.lock().iter().map(|s| s.sent_bytes.get()).sum()
     }
 
-    /// Per-node network stats of the **most recent** `run` (or distributed
-    /// attempt — one entry, this rank's). Endpoints live one run, so these
+    /// Per-node network stats of the **most recent** `run` (or batch mesh
+    /// job — one entry, this rank's). Endpoints live one run, so these
     /// zero at every run/restart boundary; use [`Cluster::net_totals`] for
     /// telemetry that survives endpoint churn.
     pub fn net_stats(&self) -> Vec<Arc<NetStats>> {
@@ -681,7 +563,7 @@ impl Cluster {
     }
 
     /// Per-rank network totals accumulated at the end of every run and
-    /// every distributed attempt (supervised restarts included). In
+    /// every batch mesh job (supervised restarts included). In
     /// distributed mode only this process's own rank entry moves.
     pub fn net_totals(&self) -> Vec<NetTotals> {
         self.net_accum.lock().clone()

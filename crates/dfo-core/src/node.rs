@@ -260,16 +260,6 @@ impl NodeCtx {
         &self.scratch
     }
 
-    /// Consumes the context and hands back its network endpoint. A context
-    /// built over a *job view* of a shared transport (the resident mesh,
-    /// [`crate::ResidentMesh`]) does not need this — dropping the view
-    /// leaves the underlying transport connected — but owners of a
-    /// dedicated endpoint ([`crate::Cluster::run_distributed`]) use it to
-    /// reclaim the endpoint when the job's context is done with it.
-    pub fn into_net(self) -> Endpoint {
-        self.net
-    }
-
     pub fn net(&self) -> &Endpoint {
         &self.net
     }
@@ -631,47 +621,13 @@ impl NodeCtx {
     /// All-to-all byte exchange: sends `outgoing[j]` to node `j` and returns
     /// what every node sent here (`result[rank] == outgoing[rank]`).
     ///
-    /// Uses the same round-robin pairing as `ProcessEdges` (§4.4), with the
-    /// sender on its own thread so bounded channels cannot deadlock. Used
-    /// for preprocessing by-products such as shipping out-degree counts to
-    /// their owning partitions.
+    /// One [`Endpoint::exchange`](dfo_net::Endpoint::exchange) on the next
+    /// call-sequence tag. Used for preprocessing by-products such as
+    /// shipping out-degree counts to their owning partitions.
     pub fn exchange_bytes(&mut self, outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        assert_eq!(outgoing.len(), self.cfg.nodes);
         let seq = self.call_seq;
         self.call_seq += 1;
-        let rank = self.rank;
-        // freeze each payload once; per-chunk frames below are zero-copy
-        // slices of the frozen buffer (no per-256-KiB memcpy)
-        let mut outgoing = outgoing;
-        let own = std::mem::take(&mut outgoing[rank]);
-        let outgoing: Vec<bytes::Bytes> = outgoing.into_iter().map(bytes::Bytes::from).collect();
-        let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); self.cfg.nodes];
-        let err: parking_lot::Mutex<Option<DfoError>> = parking_lot::Mutex::new(None);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for j in self.cfg.send_order(rank) {
-                    if let Err(e) = self.net.send_stream(j, seq, outgoing[j].clone()) {
-                        *err.lock() = Some(e);
-                        return;
-                    }
-                }
-            });
-            for p in self.cfg.recv_order(rank) {
-                match self.net.recv_all(p, seq) {
-                    Ok(bytes) => incoming[p] = bytes,
-                    Err(e) => {
-                        *err.lock() = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        let pending = err.lock().take();
-        if let Some(e) = pending {
-            return Err(e);
-        }
-        incoming[rank] = own;
-        Ok(incoming)
+        self.net.exchange(seq, outgoing)
     }
 
     /// **Collective** metrics gather: every rank snapshots its registry and

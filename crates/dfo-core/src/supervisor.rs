@@ -5,10 +5,13 @@
 //! a rank that exits cleanly is done; a rank that dies (non-zero exit,
 //! SIGKILL, SIGABRT from the fault-injection hook…) is **relaunched**
 //! under the next mesh *epoch*. Inside each rank process,
-//! [`crate::Cluster::run_supervised`] is the other half of the protocol:
-//! survivors observe the failure as `NetClosed`, quiesce their transport,
-//! learn the next epoch, and re-enter the TCP bootstrap — where they meet
-//! the relaunched process, which received the same epoch via `DFO_EPOCH`.
+//! [`crate::Cluster::run_supervised`] is the other half of the protocol: it
+//! runs the rank's program as one job on a [`crate::ResidentMesh`] inside
+//! [`crate::ResidentMesh::relaunching`], the relaunch loop the service
+//! daemon uses too. Survivors observe the failure as `NetClosed`, drop the
+//! dead mesh, learn the next epoch, and bootstrap a new one — where they
+//! meet the relaunched process, which received the same epoch via
+//! `DFO_EPOCH`.
 //! Stale-epoch connections are rejected by the handshake, so sockets of
 //! the dead incarnation can never rejoin.
 //!

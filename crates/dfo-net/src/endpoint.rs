@@ -311,6 +311,37 @@ impl Endpoint {
         Ok(out)
     }
 
+    /// All-to-all byte exchange on stream `tag`: `outgoing[j]` goes to rank
+    /// `j`, and `result[src]` is what `src` sent here (`result[rank]` is
+    /// `outgoing[rank]`, never sent). Uses the round-robin pairing of
+    /// `ProcessEdges` (§4.4) — send to `rank+1, rank+2, …`, receive from
+    /// `rank−1, rank−2, …` — with the sends on their own thread so bounded
+    /// channels cannot deadlock. Each payload is frozen once and streamed
+    /// as zero-copy slices.
+    pub fn exchange(&self, tag: u64, mut outgoing: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        let (rank, p) = (self.rank, self.p);
+        assert_eq!(outgoing.len(), p);
+        let own = std::mem::take(&mut outgoing[rank]);
+        let outgoing: Vec<Bytes> = outgoing.into_iter().map(Bytes::from).collect();
+        let mut incoming: Vec<Vec<u8>> = vec![Vec::new(); p];
+        let (sent, received) = std::thread::scope(|s| {
+            let sender = s.spawn(|| {
+                (1..p)
+                    .map(|d| (rank + d) % p)
+                    .try_for_each(|j| self.send_stream(j, tag, outgoing[j].clone()))
+            });
+            let received = (1..p).map(|d| (rank + p - d) % p).try_for_each(|src| {
+                incoming[src] = self.recv_all(src, tag)?;
+                Ok(())
+            });
+            let sent = sender.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (sent, received)
+        });
+        received.and(sent)?;
+        incoming[rank] = own;
+        Ok(incoming)
+    }
+
     /// The next collective tag of this namespace: the namespace base plus
     /// this view's sequence number, which SPMD discipline keeps in
     /// lockstep across ranks.

@@ -95,6 +95,13 @@ impl Frame {
     /// [`DfoError::Corrupt`] (a peer died mid-frame or the stream is
     /// garbage).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Option<Frame>> {
+        Self::read_capped(r, MAX_FRAME_PAYLOAD)
+    }
+
+    /// [`Frame::read_from`] for an untrusted sender: a header announcing
+    /// more than `max_payload` bytes is a [`DfoError::Protocol`] error,
+    /// raised before the payload buffer is allocated.
+    pub fn read_capped<R: Read>(r: &mut R, max_payload: usize) -> Result<Option<Frame>> {
         let mut h = [0u8; FRAME_HEADER_BYTES as usize];
         match read_exact_or_eof(r, &mut h) {
             Ok(true) => {}
@@ -104,6 +111,12 @@ impl Frame {
             }
         }
         let (src, tag, len, last) = Frame::decode_header(&h)?;
+        if len > max_payload {
+            return Err(DfoError::Protocol(format!(
+                "frame announces a {len}-byte payload, over this connection's {max_payload}-byte \
+                 limit"
+            )));
+        }
         let mut payload = vec![0u8; len];
         r.read_exact(&mut payload).map_err(|e| {
             DfoError::Corrupt(format!("truncated frame payload ({len} bytes): {e}"))

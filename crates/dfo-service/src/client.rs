@@ -17,6 +17,7 @@
 
 use crate::job::JobReport;
 use crate::wire::{self, ClientMsg, DaemonMsg, PROTO_VERSION};
+use dfo_net::MAX_FRAME_PAYLOAD;
 use dfo_types::{DfoError, JobSpec, JobStatus, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
@@ -121,7 +122,7 @@ impl DfoClient {
             &mut &stream,
             ClientMsg::Hello { version: PROTO_VERSION, client_id: client_id.to_string() }.encode(),
         )?;
-        let nodes = match wire::recv_msg(&mut reader)? {
+        let nodes = match wire::recv_msg(&mut reader, MAX_FRAME_PAYLOAD)? {
             Some(bytes) => match DaemonMsg::decode(&bytes)? {
                 DaemonMsg::HelloOk { version, nodes } if version == PROTO_VERSION => nodes,
                 DaemonMsg::HelloOk { version, .. } => {
@@ -271,7 +272,7 @@ impl RemoteJobHandle {
 fn reader_loop(inner: Arc<ClientInner>, mut reader: TcpStream, rpc_tx: mpsc::Sender<DaemonMsg>) {
     // clean EOF, a transport error and undecodable bytes all end the
     // session the same way: everything outstanding resolves NetClosed
-    let mut next = || match wire::recv_msg(&mut reader) {
+    let mut next = || match wire::recv_msg(&mut reader, MAX_FRAME_PAYLOAD) {
         Ok(Some(bytes)) => DaemonMsg::decode(&bytes).ok(),
         Ok(None) | Err(_) => None,
     };

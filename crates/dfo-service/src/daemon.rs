@@ -2,9 +2,9 @@
 //! over the mesh.
 //!
 //! [`Daemon::run`] is the per-rank entry point of service phase 2. Every
-//! rank process connects the [`ResidentMesh`] **once** (paying mesh
-//! bootstrap at startup, not per job), opens the preprocessed graphs under
-//! `<base>/graphs/`, and then splits by role:
+//! rank process opens the preprocessed graphs under `<base>/graphs/`,
+//! connects the [`ResidentMesh`] **once** (paying mesh bootstrap at
+//! startup, not per job) and then splits by role:
 //!
 //! * **Rank 0** is a front end to the same [executor](crate::executor) the
 //!   in-process [`crate::Service`] uses: it binds the job-control listener
@@ -39,23 +39,27 @@
 //! retryable `NetClosed`. The executor requeues each failed job that has
 //! attempts left under [`JobSpec::max_retries`] (the same retry rule as
 //! in-process), fails the rest to their clients with the typed error, and
-//! stops admitting until the running jobs drain. The daemon then rebuilds
-//! the mesh **in place** under a bumped epoch (every rank counts one
-//! relaunch per mesh death, so epochs agree) and serves again: requeued
-//! jobs re-run on the fresh mesh under a fresh scratch scope.
+//! stops admitting until the running jobs drain. Both roles run inside
+//! [`ResidentMesh::relaunching`], the relaunch loop batch runs use too:
+//! any error out of a role's round (the executor's `serve`, the peer's
+//! follower loop) is a mesh death, and the loop rebuilds the mesh **in
+//! place** under the next epoch (every rank counts one relaunch per mesh
+//! death, so epochs agree) and serves again: requeued jobs re-run on the
+//! fresh mesh under a fresh scratch scope.
 //!
 //! Relaunches are bounded by `cfg.max_restarts`; past the bound the daemon
-//! fails everything still queued and exits with the poisoning error.
+//! fails everything still queued and exits with
+//! [`DfoError::RestartsExhausted`].
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::executor::{run_algorithm, Attempt, AttemptOutput, AttemptRunner, Executor};
 use crate::job::{Job, JobReport, JobSink};
 use crate::metrics::MetricsServer;
-use crate::wire::{self, ClientMsg, DaemonMsg, PeerCmd, RankResult, PROTO_VERSION};
+use crate::wire::{self, ClientMsg, DaemonMsg, PeerCmd, RankResult, MAX_CLIENT_MSG, PROTO_VERSION};
 use dfo_algos::Algorithm;
 use dfo_core::ResidentMesh;
-use dfo_obs::Registry;
-use dfo_types::{DfoError, EngineConfig, JobSpec, JobStatus, Result};
+use dfo_obs::Telemetry;
+use dfo_types::{DfoError, EngineConfig, JobSpec, JobStatus, RecoveryStats, Result};
 use parking_lot::Mutex;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -113,7 +117,7 @@ pub struct Daemon;
 impl Daemon {
     /// Runs one rank of the daemon mesh until a client requests shutdown
     /// (clean `Ok`) or the mesh dies past its `cfg.max_restarts` relaunch
-    /// budget (the poisoning error). Graphs are discovered under
+    /// budget ([`DfoError::RestartsExhausted`]). Graphs are discovered under
     /// `<base>/graphs/` — preprocess them first with
     /// [`crate::Service::load_graph`] (or ship the directories); the daemon
     /// never preprocesses.
@@ -127,48 +131,14 @@ impl Daemon {
                 base.display()
             )));
         }
-        let mesh = ResidentMesh::connect(&cfg, rank)?;
         if rank == 0 {
-            run_rank0(Executor::new(catalog), mesh)
-        } else {
-            let registry = catalog.registry.clone();
-            relaunching(&cfg, rank, &registry, mesh, |mesh| peer_round(&catalog, mesh))?.barrier()
+            return run_rank0(Executor::new(catalog));
         }
-    }
-}
-
-/// Runs `round` once per mesh generation, relaunching the mesh in place —
-/// epoch bumped once per death, in lockstep across ranks — until a round
-/// ends cleanly (the live mesh comes back) or the `cfg.max_restarts`
-/// relaunch budget runs out (the error that killed the last mesh).
-fn relaunching(
-    cfg: &EngineConfig,
-    rank: usize,
-    registry: &Registry,
-    mut mesh: ResidentMesh,
-    mut round: impl FnMut(&ResidentMesh) -> Result<()>,
-) -> Result<ResidentMesh> {
-    let mut relaunches: u32 = 0;
-    loop {
-        let Err(e) = round(&mesh) else { return Ok(mesh) };
-        relaunches += 1;
-        if relaunches > cfg.max_restarts {
-            return Err(e);
-        }
-        let epoch = cfg.epoch + relaunches as u64;
-        eprintln!(
-            "[dfo-daemon] rank {rank} mesh died ({e}); relaunching under epoch {epoch} \
-             (relaunch {relaunches}/{})",
-            cfg.max_restarts
-        );
-        registry.counter("dfo_mesh_relaunches_total", "In-place mesh relaunches", &[]).inc();
-        drop(mesh); // release the listen port before rebinding
-        let mut relaunch_cfg = cfg.clone();
-        relaunch_cfg.epoch = epoch;
-        mesh = ResidentMesh::connect(&relaunch_cfg, rank)?;
-        registry
-            .gauge("dfo_mesh_epoch", "Epoch of the current mesh incarnation", &[])
-            .set(epoch as f64);
+        let tele = Telemetry::new(catalog.registry.clone());
+        ResidentMesh::relaunching(&cfg, rank, &tele, &mut RecoveryStats::default(), |mesh| {
+            peer_round(&catalog, mesh)?;
+            Ok(mesh.barrier())
+        })
     }
 }
 
@@ -308,7 +278,7 @@ impl AttemptRunner for MeshAttempts<'_> {
     }
 }
 
-fn run_rank0(exec: Executor, mesh: ResidentMesh) -> Result<()> {
+fn run_rank0(exec: Executor) -> Result<()> {
     let cfg = exec.config().clone();
     let control_addr = cfg.control_addr.clone().ok_or_else(|| {
         DfoError::Config(
@@ -316,53 +286,23 @@ fn run_rank0(exec: Executor, mesh: ResidentMesh) -> Result<()> {
                 .into(),
         )
     })?;
-    // the scrape endpoint lives on rank 0 alongside the control listener
-    let _metrics = match &cfg.metrics_addr {
-        Some(addr) => Some(MetricsServer::spawn(addr, exec.registry().clone())?),
-        None => None,
-    };
-    let listener = TcpListener::bind(&control_addr)
-        .map_err(|e| DfoError::io(format!("binding control listener on {control_addr}"), e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| DfoError::io("setting control listener non-blocking", e))?;
-    eprintln!(
-        "[dfo-daemon] rank 0 serving {} graph(s) on {}",
-        exec.catalog.names().len(),
-        listener.local_addr().map(|a| a.to_string()).unwrap_or(control_addr.clone()),
-    );
+    let tele = Telemetry::new(exec.registry().clone());
     let front = Arc::new(Rank0 { exec, shutdown_ack: Mutex::new(None) });
-
-    // accept loop: non-blocking poll so it can observe shutdown and release
-    // the port even when Daemon::run is hosted in a long-lived process
-    let accept_front = front.clone();
-    let accept = std::thread::spawn(move || loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let front = accept_front.clone();
-                std::thread::spawn(move || handle_client(front, stream));
+    let mut opened: Option<(Option<MetricsServer>, std::thread::JoinHandle<()>)> = None;
+    let out = ResidentMesh::relaunching(&cfg, 0, &tele, &mut RecoveryStats::default(), |mesh| {
+        if opened.is_none() {
+            // the first mesh is up: open the scrape endpoint and the client
+            // listener, which then stay open across relaunches
+            match open_front(&front, &control_addr) {
+                Ok(front_door) => opened = Some(front_door),
+                Err(e) => return Ok(Err(e)),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if accept_front.exec.is_shutdown() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => return,
         }
-    });
-
-    let registry = front.exec.registry().clone();
-    let out = relaunching(&cfg, 0, &registry, mesh, |mesh| {
-        front.exec.serve(&MeshAttempts { mesh, ctrl: Mutex::new(()) })
-    })
-    .and_then(|mesh| {
+        front.exec.serve(&MeshAttempts { mesh, ctrl: Mutex::new(()) })?;
         // coordinated shutdown: stop the peers, settle the mesh
         let cmd = PeerCmd::Shutdown.encode();
-        for peer in 1..mesh.nodes() {
-            mesh.ctrl_send(peer, cmd.clone())?;
-        }
-        mesh.barrier()
+        let stopped = (1..mesh.nodes()).try_for_each(|peer| mesh.ctrl_send(peer, cmd.clone()));
+        Ok(stopped.and_then(|()| mesh.barrier()))
     });
     if let Err(e) = &out {
         // give up: fail everything still queued and release the accept loop
@@ -371,13 +311,59 @@ fn run_rank0(exec: Executor, mesh: ResidentMesh) -> Result<()> {
     if let Some(sink) = front.shutdown_ack.lock().take() {
         sink.send(&DaemonMsg::ShutdownOk);
     }
-    let _ = accept.join();
+    if let Some((_metrics, accept)) = opened {
+        let _ = accept.join();
+    }
     out
 }
 
+/// Opens rank 0's front door: the scrape endpoint (when configured) and the
+/// client listener, whose accept loop runs until the executor shuts down.
+fn open_front(
+    front: &Arc<Rank0>,
+    control_addr: &str,
+) -> Result<(Option<MetricsServer>, std::thread::JoinHandle<()>)> {
+    let exec = &front.exec;
+    let metrics = match &exec.config().metrics_addr {
+        Some(addr) => Some(MetricsServer::spawn(addr, exec.registry().clone())?),
+        None => None,
+    };
+    let listener = TcpListener::bind(control_addr)
+        .map_err(|e| DfoError::io(format!("binding control listener on {control_addr}"), e))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| DfoError::io("setting control listener non-blocking", e))?;
+    eprintln!(
+        "[dfo-daemon] rank 0 serving {} graph(s) on {}",
+        exec.catalog.names().len(),
+        listener.local_addr().map(|a| a.to_string()).unwrap_or(control_addr.to_string()),
+    );
+    // non-blocking poll so the loop can observe shutdown and release the
+    // port even when Daemon::run is hosted in a long-lived process
+    let front = front.clone();
+    let accept = std::thread::spawn(move || loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let front = front.clone();
+                std::thread::spawn(move || handle_client(front, stream));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if front.exec.is_shutdown() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(_) => return,
+        }
+    });
+    Ok((metrics, accept))
+}
+
 /// One client connection: handshake, then a request loop. Protocol
-/// violations answer with a typed error and close the connection; a bad
-/// job *spec* is a per-request [`DaemonMsg::Error`], not a disconnect.
+/// violations — including a frame announcing more than
+/// [`MAX_CLIENT_MSG`] bytes, refused before anything is allocated — answer
+/// with a typed error and close the connection; a bad job *spec* is a
+/// per-request [`DaemonMsg::Error`], not a disconnect.
 fn handle_client(front: Arc<Rank0>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
@@ -385,7 +371,8 @@ fn handle_client(front: Arc<Rank0>, stream: TcpStream) {
     let mut reader = stream;
 
     // handshake: Hello must come first and the version must match
-    let hello_client_id = match wire::recv_msg(&mut reader) {
+    let refuse = |e: DfoError| sink.send(&DaemonMsg::Error { message: e.to_string() });
+    let hello_client_id = match wire::recv_msg(&mut reader, MAX_CLIENT_MSG) {
         Ok(Some(bytes)) => match ClientMsg::decode(&bytes) {
             Ok(ClientMsg::Hello { version, client_id }) if version == PROTO_VERSION => client_id,
             Ok(ClientMsg::Hello { version, .. }) => {
@@ -401,7 +388,8 @@ fn handle_client(front: Arc<Rank0>, stream: TcpStream) {
                 return;
             }
         },
-        _ => return,
+        Ok(None) => return,
+        Err(e) => return refuse(e),
     };
     sink.send(&DaemonMsg::HelloOk {
         version: PROTO_VERSION,
@@ -409,16 +397,14 @@ fn handle_client(front: Arc<Rank0>, stream: TcpStream) {
     });
 
     loop {
-        let bytes = match wire::recv_msg(&mut reader) {
+        let bytes = match wire::recv_msg(&mut reader, MAX_CLIENT_MSG) {
             Ok(Some(b)) => b,
-            Ok(None) | Err(_) => return, // client left (or spoke garbage)
+            Ok(None) => return, // client left
+            Err(e) => return refuse(e),
         };
         let msg = match ClientMsg::decode(&bytes) {
             Ok(m) => m,
-            Err(e) => {
-                sink.send(&DaemonMsg::Error { message: e.to_string() });
-                return;
-            }
+            Err(e) => return refuse(e),
         };
         match msg {
             ClientMsg::Hello { .. } => {
@@ -443,5 +429,63 @@ fn handle_client(front: Arc<Rank0>, stream: TcpStream) {
                 front.exec.shutdown();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DfoClient;
+    use dfo_net::MAX_FRAME_PAYLOAD;
+    use std::io::Write;
+    use std::time::Instant;
+    use tempfile::TempDir;
+
+    fn free_addr() -> String {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        format!("127.0.0.1:{}", l.local_addr().unwrap().port())
+    }
+
+    #[test]
+    fn oversized_control_frame_is_refused_and_the_daemon_keeps_serving() {
+        let td = TempDir::new().unwrap();
+        let mut cfg = EngineConfig::for_test(1);
+        Catalog::new(cfg.clone(), td.path().to_path_buf())
+            .add("g", |c| c.preprocess(&dfo_graph::gen::uniform(64, 256, 1)))
+            .unwrap();
+        let ctrl = free_addr();
+        cfg.peers = Some(vec![free_addr()]);
+        cfg.control_addr = Some(ctrl.clone());
+        let base = td.path().to_path_buf();
+        let daemon = std::thread::spawn(move || Daemon::run(cfg, 0, base));
+
+        // in place of Hello, a bare header announcing a 1 GiB payload
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut raw = loop {
+            match TcpStream::connect(&ctrl) {
+                Ok(s) => break s,
+                Err(e) => assert!(Instant::now() < deadline, "daemon never came up: {e}"),
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        raw.write_all(&wire::forged_header(MAX_FRAME_PAYLOAD)).unwrap();
+        let reply = wire::recv_msg(&mut raw, MAX_FRAME_PAYLOAD).unwrap().expect("an error reply");
+        match DaemonMsg::decode(&reply).unwrap() {
+            DaemonMsg::Error { message } => {
+                assert!(message.contains("limit"), "unexpected message: {message}")
+            }
+            other => panic!("want a typed Error reply, got {other:?}"),
+        }
+        assert!(
+            wire::recv_msg(&mut raw, MAX_FRAME_PAYLOAD).unwrap().is_none(),
+            "the daemon must close the connection"
+        );
+
+        // the daemon still serves well-behaved clients
+        let client = DfoClient::connect_as(&ctrl, "after").unwrap();
+        let report = client.submit(JobSpec::new("g", "degree")).unwrap().wait().unwrap();
+        assert_eq!(report.outputs.len(), 1);
+        client.shutdown().unwrap();
+        daemon.join().unwrap().unwrap();
     }
 }

@@ -60,6 +60,10 @@ const MAX_OVERLAP: usize = match dfo_net::DEMUX_QUEUE_DEPTH / 4 {
 /// never idles free budget — see [`crate::sched`]).
 const CLIENT_QUOTA: usize = 2;
 
+/// Finished jobs kept for listings; past this the lowest ids are dropped,
+/// so a long-lived daemon's job table and each `list()` stay bounded.
+const FINISHED_KEPT: usize = 256;
+
 /// What one attempt produced: every rank's result in rank order, and the
 /// shared chunk caches' counter deltas over the attempt (empty when the
 /// caches live in other processes).
@@ -103,8 +107,9 @@ struct Sched {
     queue: JobQueue,
     /// Jobs not yet finished (queued or running).
     live: BTreeMap<u64, Arc<Job>>,
-    /// Final status of every finished job, for listings. Finished jobs
-    /// drop their record, which releases the graph they pinned.
+    /// Final status of the [`FINISHED_KEPT`] most recent finished jobs, for
+    /// listings. Finished jobs drop their record, which releases the graph
+    /// they pinned.
     finished: BTreeMap<u64, JobStatus>,
     next_id: u64,
     /// Admitted attempts, and the estimate bytes / per-client counts they
@@ -247,7 +252,8 @@ impl Executor {
         }
     }
 
-    /// Every job's status — live and finished — by id.
+    /// The status of every live job and of the most recent finished ones
+    /// (lowest ids evicted first), by id.
     pub fn list(&self) -> Vec<JobStatus> {
         let s = self.sched.lock();
         let mut all = s.finished.clone();
@@ -413,6 +419,9 @@ impl Executor {
             .inc();
         s.live.remove(&job.id);
         s.finished.insert(job.id, job.status());
+        if s.finished.len() > FINISHED_KEPT {
+            s.finished.pop_first();
+        }
     }
 
     /// Assembles a successful attempt's report and feeds what it measured
@@ -661,5 +670,26 @@ mod tests {
             assert!(served.join().unwrap().is_ok());
         });
         assert_eq!(started.try_iter().collect::<Vec<_>>(), ["job2a0"]);
+    }
+
+    #[test]
+    fn finished_listing_keeps_only_the_most_recent_jobs() {
+        let td = TempDir::new().unwrap();
+        let exec = executor(&td);
+        let (fake, _started) = Fake::new();
+        std::thread::scope(|sc| {
+            let served = sc.spawn(|| exec.serve(&fake));
+            let handles: Vec<JobHandle> =
+                (0..=FINISHED_KEPT).map(|_| submit(&exec, spec(0))).collect();
+            for h in handles {
+                h.wait().unwrap();
+            }
+            exec.shutdown();
+            assert!(served.join().unwrap().is_ok());
+        });
+        let ids: Vec<u64> = exec.list().iter().map(|s| s.id).collect();
+        assert_eq!(ids.len(), FINISHED_KEPT);
+        assert_eq!(ids.first(), Some(&1), "the oldest finished job is evicted");
+        assert_eq!(ids.last(), Some(&(FINISHED_KEPT as u64)));
     }
 }

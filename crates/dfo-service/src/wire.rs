@@ -110,11 +110,17 @@ pub(crate) fn send_msg<W: Write>(w: &mut W, payload: Vec<u8>) -> Result<()> {
     w.flush().map_err(|e| DfoError::io("flush job-control frame", e))
 }
 
-/// Reads one job-control message from a client connection. `Ok(None)` is a
-/// clean end-of-stream (the peer closed between messages); a truncation or
-/// a frame that is not a single control-tagged message is a protocol error.
-pub(crate) fn recv_msg<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
-    let Some(frame) = Frame::read_from(r)? else { return Ok(None) };
+/// Largest [`ClientMsg`] the daemon accepts. A job spec is a few hundred
+/// bytes; the cap keeps an unauthenticated client's forged frame header
+/// from making the daemon allocate up to [`dfo_net::MAX_FRAME_PAYLOAD`].
+pub(crate) const MAX_CLIENT_MSG: usize = 64 << 10;
+
+/// Reads one job-control message of at most `max_payload` bytes from a
+/// connection. `Ok(None)` is a clean end-of-stream (the peer closed between
+/// messages); a truncation, an oversized frame or a frame that is not a
+/// single control-tagged message is an error.
+pub(crate) fn recv_msg<R: Read>(r: &mut R, max_payload: usize) -> Result<Option<Vec<u8>>> {
+    let Some(frame) = Frame::read_capped(r, max_payload)? else { return Ok(None) };
     if frame.tag != CTRL_TAG_BIT || !frame.last {
         return Err(proto_err(format!(
             "expected a single control-tagged frame, got tag {:#x} (last: {})",
@@ -122,6 +128,17 @@ pub(crate) fn recv_msg<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
         )));
     }
     Ok(Some(frame.payload.to_vec()))
+}
+
+/// A bare control-tagged, last-flagged frame header announcing `len`
+/// payload bytes — what a hostile client can send for free.
+#[cfg(test)]
+pub(crate) fn forged_header(len: usize) -> Vec<u8> {
+    let mut h = Vec::with_capacity(16);
+    h.extend_from_slice(&0u32.to_le_bytes());
+    h.extend_from_slice(&CTRL_TAG_BIT.to_le_bytes());
+    h.extend_from_slice(&(len as u32 | 1 << 31).to_le_bytes());
+    h
 }
 
 // ---------------------------------------------------------------------------
@@ -587,6 +604,7 @@ fn decode_error(c: &mut Cur<'_>) -> Result<DfoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfo_net::MAX_FRAME_PAYLOAD;
     use dfo_types::JobPhase;
 
     fn roundtrip_client(msg: ClientMsg) {
@@ -727,15 +745,34 @@ mod tests {
         let mut buf = Vec::new();
         send_msg(&mut buf, ClientMsg::ListJobs.encode()).unwrap();
         let mut r = &buf[..];
-        let msg = recv_msg(&mut r).unwrap().unwrap();
+        let msg = recv_msg(&mut r, MAX_CLIENT_MSG).unwrap().unwrap();
         assert_eq!(ClientMsg::decode(&msg).unwrap(), ClientMsg::ListJobs);
         // clean EOF after the message
-        assert!(recv_msg(&mut r).unwrap().is_none());
+        assert!(recv_msg(&mut r, MAX_CLIENT_MSG).unwrap().is_none());
         // truncated frame mid-payload is an error, not a clean EOF
         let cut = &buf[..buf.len() - 1];
         let mut r = cut;
-        assert!(recv_msg(&mut r).is_err(), "truncation must not look like clean EOF");
+        assert!(
+            recv_msg(&mut r, MAX_CLIENT_MSG).is_err(),
+            "truncation must not look like clean EOF"
+        );
         // unknown message types are a typed protocol error
         assert!(matches!(ClientMsg::decode(&[250]), Err(DfoError::Protocol(_))));
+    }
+
+    #[test]
+    fn oversized_header_is_refused_before_allocating() {
+        // a bare header announcing the mesh-wide maximum and no payload
+        // behind it: the cap must reject it from the header alone
+        let forged = forged_header(MAX_FRAME_PAYLOAD);
+        match recv_msg(&mut &forged[..], MAX_CLIENT_MSG) {
+            Err(DfoError::Protocol(m)) => assert!(m.contains("limit"), "unexpected message: {m}"),
+            other => panic!("want a Protocol error, got {other:?}"),
+        }
+        // at the cap the header is fine and the missing payload is what fails
+        assert!(matches!(
+            recv_msg(&mut &forged_header(MAX_CLIENT_MSG)[..], MAX_CLIENT_MSG),
+            Err(DfoError::Corrupt(_))
+        ));
     }
 }

@@ -415,7 +415,17 @@ fn poisoned_mesh_relaunches_and_honors_max_retries() {
 
     let body = scrape_metrics(&metrics);
     assert!(body.contains("dfo_job_retries_total"), "missing retry counter:\n{body}");
-    assert!(body.contains("dfo_mesh_relaunches_total"), "missing relaunch counter:\n{body}");
+    // one relaunch loop, one set of recovery series: every series of each
+    // family agrees on the two relaunches
+    for (family, want) in [("dfo_restarts_total", 2.0), ("dfo_mesh_epoch", 2.0)] {
+        let values: Vec<f64> = body
+            .lines()
+            .filter(|l| l.strip_prefix(family).is_some_and(|rest| rest.starts_with([' ', '{'])))
+            .map(|l| l.split_whitespace().last().unwrap().parse().expect("metric value"))
+            .collect();
+        assert!(!values.is_empty(), "missing {family}:\n{body}");
+        assert!(values.iter().all(|&v| v == want), "{family} must read {want}:\n{body}");
+    }
     save_metrics(&body);
 
     client.shutdown().unwrap();
